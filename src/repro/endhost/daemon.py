@@ -206,7 +206,8 @@ class Daemon:
         self, dst: IA, now: float, deadline_s: Optional[float] = None
     ) -> List[PathMeta]:
         self.stats.inc("lookups")
-        self._expire_down_interfaces(now)
+        if self._down_interfaces:
+            self._expire_down_interfaces(now)
         self._pull_revocations(now)
         cached = self._cache.get(dst)
         if cached is not None and now - cached[0] < self.cache_ttl_s:

@@ -335,16 +335,19 @@ class ScionSocket:
         retry_budget: Optional[RetryBudget] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> SendResult:
-        if dst.ia == self.host.ia:
+        context = self.context
+        host = context.host
+        if dst.ia == host.ia:
             return self._deliver_local(dst, payload, now)
         if retry_budget is not None:
             retry_budget.on_request()
         if breaker is not None and not breaker.allow(now):
             return SendResult(False, failure="circuit-open")
-        queue = (policy or self.context.default_policy).order(
-            self.context.paths(dst.ia, now)
+        queue = (policy or context.default_policy).order(
+            context.paths(dst.ia, now)
         )
-        last = SendResult(False, failure="no-paths")
+        # Built only when a send fails: most sends deliver on the first path.
+        last: Optional[SendResult] = None
         attempt = 0
         while queue and attempt < max_attempts:
             if (
@@ -370,19 +373,21 @@ class ScionSocket:
                 return result
             last = result
             skip = set()
-            daemon = self.host.daemon
+            daemon = host.daemon
             if daemon is not None and daemon.down_interfaces:
                 skip.update(daemon.down_interfaces)
             if result.revocation is not None:
                 skip.add(result.revocation.key)
                 if daemon is None:
-                    self.context.evict_revoked(result.revocation)
+                    context.evict_revoked(result.revocation)
             if skip:
                 queue = [
                     m for m in queue if not skip.intersection(m.interfaces)
                 ]
         if breaker is not None:
             breaker.record_failure(now)
+        if last is None:
+            return SendResult(False, failure="no-paths")
         return last
 
     def _send_via(
@@ -394,7 +399,8 @@ class ScionSocket:
         paths_tried: int,
         report_scmp: bool = False,
     ) -> SendResult:
-        network = self.host.network
+        host = self.context.host
+        network = host.network
         probe = network.dataplane.probe(meta.path, now or network.timestamp)
         self.sent_packets += 1
         tel = self._telemetry
@@ -422,7 +428,7 @@ class ScionSocket:
                 False, failure=probe.failure, path=meta,
                 paths_tried=paths_tried, revocation=probe.revocation,
             )
-        dst_host = self.host.registry.lookup(dst.ia, dst.host)
+        dst_host = host.registry.lookup(dst.ia, dst.host)
         if dst_host is None:
             return SendResult(
                 False, failure="no-such-host", path=meta, paths_tried=paths_tried
@@ -433,7 +439,7 @@ class ScionSocket:
                 False, failure="port-unreachable", path=meta,
                 paths_tried=paths_tried,
             )
-        first_mile = self.host.underlay_latency_to_router_s()
+        first_mile = host.underlay_latency_to_router_s()
         last_mile = dst_host.underlay_latency_to_router_s()
         one_way = probe.one_way_s + first_mile + last_mile
         reply = dst_sock._handle(payload, self.local_address, meta)

@@ -51,22 +51,14 @@ class ShortestPolicy(PathPolicy):
     """Fewest AS hops; ties broken by lowest path identifier (paper §5.4)."""
 
     def order(self, paths: Sequence[PathMeta]) -> List[PathMeta]:
-        return sorted(paths, key=lambda p: (p.path.num_as_hops(), p.fingerprint))
+        return sorted(paths, key=PathMeta.hops_key)
 
 
 class LowestLatencyPolicy(PathPolicy):
     """Lowest measured RTT, falling back to the static latency estimate."""
 
     def order(self, paths: Sequence[PathMeta]) -> List[PathMeta]:
-        def key(meta: PathMeta):
-            measured = (
-                meta.measured_rtt_s
-                if meta.measured_rtt_s is not None
-                else 2 * meta.latency_estimate_s
-            )
-            return (measured, meta.fingerprint)
-
-        return sorted(paths, key=key)
+        return sorted(paths, key=PathMeta.latency_key)
 
 
 class MostDisjointPolicy(PathPolicy):
@@ -118,7 +110,7 @@ class GreenPolicy(PathPolicy):
     """Lowest estimated carbon intensity first (paper §4.7, [54])."""
 
     def order(self, paths: Sequence[PathMeta]) -> List[PathMeta]:
-        return sorted(paths, key=lambda p: (p.carbon_gco2_per_gb, p.fingerprint))
+        return sorted(paths, key=PathMeta.carbon_key)
 
 
 class SequencePolicy(PathPolicy):
@@ -216,13 +208,9 @@ class PreferencePolicy(PathPolicy):
             parts = []
             for criterion in self._criteria:
                 if criterion == "latency":
-                    parts.append(
-                        meta.measured_rtt_s
-                        if meta.measured_rtt_s is not None
-                        else 2 * meta.latency_estimate_s
-                    )
+                    parts.append(meta.latency_key()[0])
                 elif criterion == "hops":
-                    parts.append(meta.path.num_as_hops())
+                    parts.append(meta.hops_key()[0])
                 elif criterion == "disjointness":
                     parts.append(meta.shared_interfaces(self._reference))
                 elif criterion == "carbon":

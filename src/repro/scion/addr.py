@@ -91,7 +91,10 @@ class IA:
     precomputed once at construction — as ``hash((isd, asn))``, the exact
     value the dataclass-generated ``__hash__`` produced, so set iteration
     order (and with it every seeded digest) is unchanged — and ``__eq__``
-    compares the two ints directly instead of building field tuples.
+    answers identity first (hop fields, interfaces and routers share the
+    topology's IA objects, and the dataplane walk compares them many times
+    per packet), then compares the two ints directly instead of building
+    field tuples.
     """
 
     isd: int
@@ -103,6 +106,8 @@ class IA:
         object.__setattr__(self, "_hash", hash((self.isd, self.asn)))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if isinstance(other, IA):
             return self.isd == other.isd and self.asn == other.asn
         return NotImplemented

@@ -204,6 +204,11 @@ class SegmentRegistry:
         )
 
     def active_revocations(self, now: Optional[float] = None) -> List[Revocation]:
+        """Held revocations sorted by key; ``now`` purges expired ones first."""
+        if not self._revocations:
+            # Nothing to purge or sort: every daemon lookup asks, and
+            # almost always while no interface is revoked.
+            return []
         if now is not None:
             self._purge_expired_revocations(now)
         return sorted(self._revocations.values(), key=lambda rev: rev.key)

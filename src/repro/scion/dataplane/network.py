@@ -13,8 +13,9 @@ Two modes share the same router decision logic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.netsim.link import Link
 from repro.netsim.simulator import Simulator
 from repro.obs import Telemetry, resolve
 from repro.scion.addr import IA
@@ -35,7 +36,7 @@ from repro.scion.scmp import (
     queue_full,
     unknown_path_interface,
 )
-from repro.scion.topology import GlobalTopology
+from repro.scion.topology import GlobalTopology, Interface
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,31 @@ class ScionDataplane:
         #: must never be confused with interface-down (daemons ignore it
         #: for down-marking — see ``Daemon.handle_scmp``).
         self.queue_full_scmp = queue_full_scmp
+        #: AS -> egress ifid -> (link, local interface), resolved once.
+        #: Interfaces and links are only ever added to a topology (e.g. by
+        #: ``ScionNetwork.enroll_as``), so a resolved pair never goes stale
+        #: and misses are not cached: a later enrollment is still seen.
+        #: Link state (up, partitions) is read live from the link object.
+        self._egress: Dict[IA, Dict[int, Tuple[Link, Interface]]] = {}
+
+    def _resolve_egress(
+        self, ia: IA, ifid: int
+    ) -> Optional[Tuple[Link, Interface]]:
+        """The link behind ``ia``'s interface ``ifid`` and that interface.
+
+        None when the AS has no such interface or no link attached to it.
+        """
+        by_ifid = self._egress.get(ia)
+        if by_ifid is not None:
+            hit = by_ifid.get(ifid)
+            if hit is not None:
+                return hit
+        link = self.topology.link_between(ia, ifid)
+        if link is None:
+            return None
+        hit = (link, self.topology.get(ia).interfaces[ifid])
+        self._egress.setdefault(ia, {})[ifid] = hit
+        return hit
 
     def revocation_for(
         self, scmp: ScmpMessage, now: float
@@ -170,10 +196,14 @@ class ScionDataplane:
         """Walk a path once (one way), verifying hops and link state.
 
         This is the measurement-campaign hot path (millions of probes per
-        experiment): the forwarding plan is the path's cached tuple, the
-        per-iteration state is two scalars, and instance attributes are
+        experiment): the forwarding plan is the path's cached tuple, each
+        forwarded hop resolves its egress link through the dataplane's
+        egress cache (two dict reads instead of three topology lookups),
+        the per-iteration state is two scalars, and instance attributes are
         bound to locals once — the loop allocates nothing until the final
-        :class:`ProbeResult`.
+        :class:`ProbeResult`.  Every per-packet check still runs on every
+        walk: the router's decision (expiry, hop lifetime, MAC, ingress,
+        down interfaces), link state, partitions and the link's far end.
 
         With a :class:`~repro.obs.profile.Profiler` attached to the
         telemetry bundle, each walk is attributed under a
@@ -199,7 +229,7 @@ class ScionDataplane:
         if not records:
             return ProbeResult(False, failure="empty-path")
         routers = self.routers
-        topology = self.topology
+        egress_cache = self._egress
         processing = self.router_processing_s
         count = len(records)
         delay = 0.0
@@ -225,17 +255,23 @@ class ScionDataplane:
                 continue
             if verdict is not Verdict.FORWARD:
                 return self._verdict_result(decision, record_ia, now)
-            link = topology.link_between(record_ia, decision.egress_ifid)
-            if link is None:
-                return ProbeResult(
-                    False, failure="no-link", failed_at=record_ia
-                )
+            egress = decision.egress_ifid
+            # The cache hit inlined; a miss resolves (and caches) it.
+            by_ifid = egress_cache.get(record_ia)
+            resolved = by_ifid.get(egress) if by_ifid is not None else None
+            if resolved is None:
+                resolved = self._resolve_egress(record_ia, egress)
+                if resolved is None:
+                    return ProbeResult(
+                        False, failure="no-link", failed_at=record_ia
+                    )
+            link, iface = resolved
             if not link.up:
                 router.link_down_drops.inc()
-                scmp = interface_down(str(record_ia), decision.egress_ifid)
+                scmp = interface_down(str(record_ia), egress)
                 return ProbeResult(
                     False, failure="link-down", failed_at=record_ia,
-                    failed_ifid=decision.egress_ifid,
+                    failed_ifid=egress,
                     scmp=scmp, revocation=self.revocation_for(scmp, now),
                 )
             blocked = link.blocked_senders
@@ -244,9 +280,8 @@ class ScionDataplane:
                 # (routers cannot see the cut; see NetworkPartition).
                 return ProbeResult(
                     False, failure="partition", failed_at=record_ia,
-                    failed_ifid=decision.egress_ifid,
+                    failed_ifid=egress,
                 )
-            iface = topology.get(record_ia).interfaces[decision.egress_ifid]
             if next_record is None or next_record.hop.ia != iface.remote_ia:
                 return ProbeResult(
                     False, failure="path-link-mismatch", failed_at=record_ia
@@ -309,10 +344,10 @@ class ScionDataplane:
                 continue
             if decision.verdict is not Verdict.FORWARD:
                 return PathAnalysis(False, (), 0.0, decision.verdict.value)
-            link = self.topology.link_between(record.hop.ia, decision.egress_ifid)
-            if link is None:
+            resolved = self._resolve_egress(record.hop.ia, decision.egress_ifid)
+            if resolved is None:
                 return PathAnalysis(False, (), 0.0, "no-link")
-            iface = self.topology.get(record.hop.ia).interfaces[decision.egress_ifid]
+            link, iface = resolved
             if next_record is None or next_record.hop.ia != iface.remote_ia:
                 return PathAnalysis(False, (), 0.0, "path-link-mismatch")
             links.append(link)
@@ -358,8 +393,11 @@ class ScionDataplane:
             if next_record.hop.ia == record.hop.ia:
                 continue
             _, egress = record.oriented()
-            link = self.topology.link_between(record.hop.ia, egress)
-            if link is None or not link.blocked_senders:
+            resolved = self._resolve_egress(record.hop.ia, egress)
+            if resolved is None:
+                continue
+            link = resolved[0]
+            if not link.blocked_senders:
                 continue
             reply_sender = link.other(str(record.hop.ia))
             if reply_sender in link.blocked_senders:
@@ -390,10 +428,10 @@ class ScionDataplane:
                 # crossover): no link is crossed.
                 continue
             _, egress = record.oriented()
-            link = self.topology.link_between(record.hop.ia, egress)
-            if link is None:
+            resolved = self._resolve_egress(record.hop.ia, egress)
+            if resolved is None:
                 continue
-            iface = self.topology.get(record.hop.ia).interfaces[egress]
+            link, iface = resolved
             if iface.remote_ia != next_record.hop.ia:
                 continue
             total += link.latency_s
@@ -488,11 +526,12 @@ class ScionDataplane:
             return
         egress = decision.egress_ifid
         location = DropLocation(ia=record.hop.ia, ifid=egress)
-        link = self.topology.link_between(record.hop.ia, egress)
-        if link is None:
+        resolved = self._resolve_egress(record.hop.ia, egress)
+        if resolved is None:
             self._drop(packet, "no-link", location, on_dropped, on_scmp,
                        trace_span=trace_span, now=sim.now)
             return
+        link, iface = resolved
         if not router.try_enqueue(egress):
             # Bounded egress queue overflow: congestion, not failure.
             # With ``queue_full_scmp`` the router routes a QUEUE_FULL
@@ -507,7 +546,6 @@ class ScionDataplane:
                 trace_span=trace_span, now=sim.now,
             )
             return
-        iface = self.topology.get(record.hop.ia).interfaces[egress]
         packet.advance()
         if trace_span is not None:
             tracer.add("router.hop", now=sim.now, parent=trace_span,

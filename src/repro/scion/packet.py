@@ -57,16 +57,21 @@ class ScionPacket:
     kind: int = KIND_UDP
     curr_hop: int = 0
 
+    # Both read the path's cached forwarding plan: ``DataplanePath.hops()``
+    # builds a fresh tuple per call, and event-driven delivery asks once
+    # per hop.
+
     def total_hops(self) -> int:
-        return len(self.path.hops())
+        return len(self.path.forwarding_plan())
 
     def current(self) -> Tuple[HopField, InfoField]:
-        hops = self.path.hops()
-        if not (0 <= self.curr_hop < len(hops)):
+        plan = self.path.forwarding_plan()
+        if not (0 <= self.curr_hop < len(plan)):
             raise PacketError(
-                f"hop pointer {self.curr_hop} out of range [0, {len(hops)})"
+                f"hop pointer {self.curr_hop} out of range [0, {len(plan)})"
             )
-        return hops[self.curr_hop]
+        record = plan[self.curr_hop]
+        return record.hop, record.info
 
     def advance(self) -> None:
         self.curr_hop += 1

@@ -12,14 +12,18 @@ recompute and verify the MAC with their own secret key, so hop fields
 remain unforgeable and unsplicable by anyone else.
 
 Performance: a :class:`DataplanePath` is immutable, but its derived views
-(forwarding plan, hop list, interface ids, fingerprint) used to be rebuilt
-on every packet walk — the dominant allocation source on the dataplane hot
-path.  They are now computed once per path and cached on the instance
-(frozen dataclasses keep a ``__dict__``, so the memo bypasses the frozen
+(forwarding plan, interface ids, fingerprint) used to be rebuilt on every
+packet walk — the dominant allocation source on the dataplane hot path.
+They are now computed once per path and cached on the instance (frozen
+dataclasses keep a ``__dict__``, so the memo bypasses the frozen
 ``__setattr__`` without affecting equality or hashing, which remain
-field-based).  Interface-id strings are ``sys.intern``-ed: measurement
-campaigns compare millions of them for disjointness and set membership,
-and interning turns those comparisons into pointer checks.
+field-based).  The forwarding plan is the one memo of the hop order: the
+hop list, AS sequence and end IAs are read off it rather than cached a
+second time.  :class:`PathMeta` memoizes its fingerprint and its policy
+sort keys, so ordering a path list per send reads one stored key per
+path.  Interface-id strings are ``sys.intern``-ed: measurement campaigns
+compare millions of them for disjointness and set membership, and
+interning turns those comparisons into pointer checks.
 """
 
 from __future__ import annotations
@@ -146,21 +150,15 @@ class DataplanePath:
 
     def hops(self) -> Tuple[Tuple[HopField, InfoField], ...]:
         """All hops in forwarding order, paired with their info field."""
-        return self._memo("_hops", self._build_hops)
-
-    def _build_hops(self) -> Tuple[Tuple[HopField, InfoField], ...]:
-        out: List[Tuple[HopField, InfoField]] = []
-        for seg in self.segments:
-            for hop in seg.forwarding_hops():
-                out.append((hop, seg.info))
-        return tuple(out)
+        return tuple((record.hop, record.info) for record in self.forwarding_plan())
 
     def as_sequence(self) -> List[IA]:
         """The sequence of ASes visited, de-duplicating segment joints."""
         seq: List[IA] = []
-        for hop, _ in self.hops():
-            if not seq or seq[-1] != hop.ia:
-                seq.append(hop.ia)
+        for record in self.forwarding_plan():
+            ia = record.hop.ia
+            if not seq or seq[-1] != ia:
+                seq.append(ia)
         return seq
 
     def forwarding_plan(self) -> Tuple["HopRecord", ...]:
@@ -194,11 +192,11 @@ class DataplanePath:
 
     @property
     def src_ia(self) -> IA:
-        return self.hops()[0][0].ia
+        return self.forwarding_plan()[0].hop.ia
 
     @property
     def dst_ia(self) -> IA:
-        return self.hops()[-1][0].ia
+        return self.forwarding_plan()[-1].hop.ia
 
     def interface_ids(self) -> Tuple[str, ...]:
         """Globally unique interface ids traversed (paper, Section 5.4).
@@ -231,7 +229,7 @@ class DataplanePath:
         return len(self.as_sequence())
 
     def min_expiry(self) -> int:
-        return min(hop.expiry for hop, _ in self.hops())
+        return min(record.hop.expiry for record in self.forwarding_plan())
 
 
 @dataclass(frozen=True)
@@ -266,6 +264,10 @@ def oriented_interfaces(hop: HopField, info: InfoField) -> Tuple[int, int]:
     return hop.cons_egress, hop.cons_ingress
 
 
+#: Memo slots every :class:`PathMeta` reserves at construction.
+_META_MEMO_SLOTS = ("_fingerprint", "_latency_key", "_hops_key", "_carbon_key")
+
+
 @dataclass(frozen=True)
 class PathMeta:
     """What an application sees about one usable path (snet-style).
@@ -274,6 +276,11 @@ class PathMeta:
     decisions: AS sequence, interface ids, a static latency estimate, and
     optional per-link attributes (carbon intensity for "green" routing,
     Section 4.7 of the paper).
+
+    The fingerprint and the policy sort keys are pure functions of the
+    (frozen) fields, so each is computed on first use and memoized on the
+    instance; equality and hashing stay field-based, and
+    ``dataclasses.replace`` copies start with an empty memo.
     """
 
     path: DataplanePath
@@ -284,9 +291,51 @@ class PathMeta:
     #: refresh failed — usable, but the application should expect churn.
     stale: bool = False
 
+    def __post_init__(self) -> None:
+        # Reserve the memo slots at construction: CPython keeps attributes
+        # every instance sets up front in compact shared-key storage, while
+        # a memo first stored later would give each instance its own
+        # ~400-byte ``__dict__`` (thousands of paths per world).
+        for slot in _META_MEMO_SLOTS:
+            object.__setattr__(self, slot, None)
+
     @property
     def fingerprint(self) -> str:
-        return self.path.fingerprint()
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            fingerprint = self.path.fingerprint()
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
+
+    def latency_key(self) -> Tuple[float, str]:
+        """Lowest-latency sort key: the measured RTT when known, else twice
+        the static one-way estimate; ties broken by fingerprint."""
+        key = self._latency_key
+        if key is None:
+            rtt = (
+                self.measured_rtt_s
+                if self.measured_rtt_s is not None
+                else 2 * self.latency_estimate_s
+            )
+            key = (rtt, self.fingerprint)
+            object.__setattr__(self, "_latency_key", key)
+        return key
+
+    def hops_key(self) -> Tuple[int, str]:
+        """Shortest-path sort key: AS hops, ties broken by fingerprint."""
+        key = self._hops_key
+        if key is None:
+            key = (self.path.num_as_hops(), self.fingerprint)
+            object.__setattr__(self, "_hops_key", key)
+        return key
+
+    def carbon_key(self) -> Tuple[float, str]:
+        """Green sort key: carbon intensity, ties broken by fingerprint."""
+        key = self._carbon_key
+        if key is None:
+            key = (self.carbon_gco2_per_gb, self.fingerprint)
+            object.__setattr__(self, "_carbon_key", key)
+        return key
 
     @property
     def interfaces(self) -> Sequence[str]:

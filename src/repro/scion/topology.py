@@ -164,6 +164,10 @@ class GlobalTopology:
         ``LinkType.PARENT`` means ``b`` is ``a``'s provider).
         """
         topo_a, topo_b = self.get(a), self.get(b)
+        # Reference each AS by the IA object it was added with, so the
+        # interfaces, hop fields and routers built from this topology share
+        # one object per AS and IA comparisons hit the identity fast path.
+        a, b = topo_a.ia, topo_b.ia
         name = link_name or self._default_link_name(a, b)
         if name in self.links:
             raise TopologyError(f"link {name!r} already exists")

@@ -137,6 +137,17 @@ class TestPacketWireFormat:
         assert decoded.path.fingerprint() == packet.path.fingerprint()
         assert decoded.curr_hop == packet.curr_hop
 
+    def test_hop_pointer_walks_the_forwarding_plan(self):
+        packet = self.make_packet()
+        hops = packet.path.hops()
+        assert packet.total_hops() == len(hops) == 4
+        for index, expected in enumerate(hops):
+            assert packet.current() == expected
+            assert packet.at_destination_as() == (index == len(hops) - 1)
+            packet.advance()
+        with pytest.raises(PacketError, match="out of range"):
+            packet.current()
+
     def test_round_trip_preserves_kind_and_pointer(self):
         packet = self.make_packet(kind=KIND_SCMP, curr_hop=2)
         decoded = ScionPacket.decode(packet.encode())
